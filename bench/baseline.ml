@@ -1,4 +1,4 @@
-(* The pre-fast-path table engine and window loop, kept verbatim (modulo
+(* The pre-fast-path table engine, kept verbatim (modulo
    trimming of control-plane operations the benchmark never calls) as the
    "before" comparator for `main.exe perf`. This is benchmark scaffolding
    only — the simulator proper uses Nicsim.Engine.
@@ -7,9 +7,7 @@
    - lookups build a fresh string key per probed group (Buffer +
      List.combine allocation on the hot path);
    - shape groups live in a list that is fully rebuilt and re-sorted on
-     every insert;
-   - the window loop allocates a latency array per window and sorts it
-     with the polymorphic [compare]. *)
+     every insert. *)
 
 type shape_elem =
   | S_exact
@@ -184,20 +182,3 @@ let lookup t pkt =
         groups;
       (!best, max 1 !accesses)
     end
-
-(* The old Sim.run_window loop: fresh latency array every window, one
-   run_packet call per packet, polymorphic-compare sort for the p99. *)
-let run_window ex ~start ~duration ~packets ~source =
-  let latencies = Array.make packets 0. in
-  let drops = ref 0 in
-  for i = 0 to packets - 1 do
-    let pkt_time = start +. (duration *. float_of_int i /. float_of_int packets) in
-    let pkt = source () in
-    latencies.(i) <- Nicsim.Exec.run_packet ex ~now:pkt_time pkt;
-    if Nicsim.Packet.is_dropped pkt then incr drops
-  done;
-  let sum = Array.fold_left ( +. ) 0. latencies in
-  let avg = sum /. float_of_int packets in
-  Array.sort compare latencies;
-  let p99 = latencies.(min (packets - 1) (packets * 99 / 100)) in
-  (avg, p99, !drops)

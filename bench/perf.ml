@@ -2,8 +2,9 @@
 
    Times the table-engine lookup path by match kind against the
    pre-fast-path implementation ({!Baseline}), engine construction,
-   single-packet execution, and the window drivers (sequential, batched,
-   parallel); then the optimizer fast path (candidate enumeration,
+   single-packet execution, and the window (Sim.run_window, against
+   window loops over the interpreter and the per-packet compiled walk);
+   then the optimizer fast path (candidate enumeration,
    analytic evaluation, knapsack, end-to-end optimize — sequential vs
    parallel vs warm-start) against the pre-fast-path search
    ({!Opt_baseline}). Writes the numbers to a JSON artifact (default
@@ -275,6 +276,55 @@ let window_bench ~name ~packets ~windows run =
   let ns = (now () -. !t0) *. 1e9 /. float_of_int !total in
   { name; unit_ = "packet"; before_ns = None; after_ns = ns; iters = !total; note = None }
 
+(* Window-shaped loops without Sim's stats or telemetry: the timestamps
+   Sim.run_window gives each packet, an index-order sum and the window
+   sort. [packet_window] drives a per-packet entry point
+   (Exec.run_packet, Exec.run_packet_compiled); [burst_window] drives
+   the struct-of-arrays burst walk in bursts of [Array.length burst]. *)
+let window_tail latencies ~packets ~drops =
+  let sum = ref 0. in
+  for i = 0 to packets - 1 do
+    sum := !sum +. Array.unsafe_get latencies i
+  done;
+  let avg = !sum /. float_of_int packets in
+  Stdx.Fsort.sort latencies;
+  (avg, latencies.(min (packets - 1) (packets * 99 / 100)), drops)
+
+let packet_window run ex latencies ~start ~packets ~source =
+  let drops = ref 0 in
+  for i = 0 to packets - 1 do
+    let pkt = source () in
+    latencies.(i) <- run ex ~now:(start +. (1.0 *. float_of_int i /. float_of_int packets)) pkt;
+    if Nicsim.Packet.is_dropped pkt then incr drops
+  done;
+  window_tail latencies ~packets ~drops:!drops
+
+let burst_window ex ~burst ~seqs ~nows latencies ~start ~packets ~source =
+  let block = Array.length burst in
+  let drops = ref 0 and pos = ref 0 in
+  while !pos < packets do
+    let base = !pos in
+    let n = min block (packets - base) in
+    let seen = Nicsim.Exec.packets_seen ex in
+    for i = 0 to n - 1 do
+      burst.(i) <- source ();
+      seqs.(i) <- seen + i + 1;
+      nows.(i) <- start +. (1.0 *. float_of_int (base + i) /. float_of_int packets)
+    done;
+    drops :=
+      !drops + Nicsim.Exec.run_batch_soa_at ex ~seqs ~nows ~pos:base ~n ~out:latencies burst;
+    pos := base + n
+  done;
+  window_tail latencies ~packets ~drops:!drops
+
+(* Times [window ~start] once per emulated second, like a Sim window. *)
+let exec_window_bench ~name ~packets ~windows window =
+  let start = ref 0. in
+  window_bench ~name ~packets ~windows (fun () ->
+      let r = window ~start:!start in
+      start := !start +. 1.0;
+      r)
+
 (* --- the suite --- *)
 
 let run_suite ~smoke =
@@ -351,32 +401,14 @@ let run_suite ~smoke =
       iters = scale 100_000;
       note = None };
 
-  (* Window drivers. Fresh sim per mode; same seed, so identical traffic. *)
+  (* The window on the 3-table pipeline, with generated traffic. *)
   let packets = scale 100_000 in
   let windows = if smoke then 1 else 3 in
-  let fresh_window_bench name run_of_sim =
-    let sim = Nicsim.Sim.create target (window_program ()) in
-    let src = window_source 23L in
-    window_bench ~name ~packets ~windows (fun () -> run_of_sim sim src)
-  in
   push
-    ((* The old loop: per-window array allocation + polymorphic sort. *)
-     let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (window_program ()) in
+    (let sim = Nicsim.Sim.create target (window_program ()) in
      let src = window_source 23L in
-     let start = ref 0. in
-     window_bench ~name:"run_window/old-loop" ~packets ~windows (fun () ->
-         let r = Baseline.run_window ex ~start:!start ~duration:1.0 ~packets ~source:src in
-         start := !start +. 1.0;
-         r));
-  push
-    (fresh_window_bench "run_window/seq" (fun sim src ->
+     window_bench ~name:"run_window/seq" ~packets ~windows (fun () ->
          Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src));
-  push
-    (fresh_window_bench "run_window/batched" (fun sim src ->
-         Nicsim.Sim.run_window_batched sim ~duration:1.0 ~packets ~source:src));
-  push
-    (fresh_window_bench "run_window/parallel" (fun sim src ->
-         Nicsim.Sim.run_window_parallel sim ~duration:1.0 ~packets ~source:src));
 
   (* --- compiled data path --- *)
 
@@ -387,8 +419,7 @@ let run_suite ~smoke =
      width — dominates the interpreter's cost. Packets come from a
      pre-generated cycling pool so both sides time execution, not
      traffic generation (all actions are nops, so pooled packets are
-     never mutated and can recirculate). The before column is the
-     interpretive sequential driver on the same fixture. *)
+     never mutated and can recirculate). *)
   let pipe_fields =
     [| P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport; P4ir.Field.Tcp_dport |]
   in
@@ -408,44 +439,40 @@ let run_suite ~smoke =
              (fun f -> (f, Int64.of_int (Stdx.Prng.int rng 128)))
              (Array.to_list pipe_fields)))
   in
-  let compiled_before_ns =
-    let sim = Nicsim.Sim.create target (pipeline_program ()) in
+  let packet_window_row name run =
+    let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (pipeline_program ()) in
     let src = pooled_source () in
-    (window_bench ~name:"pipe/interp" ~packets ~windows (fun () ->
-         Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src))
-      .after_ns
+    let latencies = Array.make packets 0. in
+    exec_window_bench ~name ~packets ~windows (fun ~start ->
+        packet_window run ex latencies ~start ~packets ~source:src)
   in
-  let compiled_row batch =
-    let sim = Nicsim.Sim.create target (pipeline_program ()) in
-    let src = pooled_source () in
-    let b =
-      window_bench
-        ~name:(Printf.sprintf "run_window/compiled-%d" batch)
-        ~packets ~windows
-        (fun () -> Nicsim.Sim.run_window_compiled ~batch sim ~duration:1.0 ~packets ~source:src)
-    in
-    { b with before_ns = Some compiled_before_ns }
+  (* The interpreter, one Exec.run_packet per packet: the before column
+     of the compiled row (not pushed as a row of its own). *)
+  let interp = packet_window_row "pipe/interp" Nicsim.Exec.run_packet in
+  (* The per-packet compiled walk (flattened op array, one
+     Exec.run_packet_compiled per packet) against the interpreter. *)
+  let compiled =
+    { (packet_window_row "run_window/compiled" Nicsim.Exec.run_packet_compiled) with
+      before_ns = Some interp.after_ns }
   in
-  push (compiled_row 64);
-  let c256 = compiled_row 256 in
-  push c256;
+  push compiled;
 
-  (* Burst-vectorized struct-of-arrays walk on the same fixture. The
-     before column is the per-packet compiled walk at batch 256, so the
-     ratio isolates the vectorization win (columnar loads, op-at-a-time
-     regrouping, exact-probe prefetch) from the compiled-vs-interp one. *)
-  let soa_row batch =
+  (* Sim.run_window on the same fixture: the struct-of-arrays burst walk
+     at burst block 64 (the default) and 256. The before column is the
+     per-packet compiled walk, so the ratio isolates the vectorization
+     win (columnar loads, op-at-a-time regrouping, exact-probe prefetch)
+     from the compiled-vs-interp one. *)
+  let soa_row block =
     let sim = Nicsim.Sim.create target (pipeline_program ()) in
+    Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) block;
     let src = pooled_source () in
     let b =
       window_bench
-        ~name:(Printf.sprintf "run_window/soa-%d" batch)
+        ~name:(Printf.sprintf "run_window/soa-%d" block)
         ~packets ~windows
-        (fun () ->
-          Nicsim.Sim.run_window_compiled ~batch ~soa:true sim ~duration:1.0 ~packets
-            ~source:src)
+        (fun () -> Nicsim.Sim.run_window sim ~duration:1.0 ~packets ~source:src)
     in
-    { b with before_ns = Some c256.after_ns }
+    { b with before_ns = Some compiled.after_ns }
   in
   push (soa_row 64);
   push (soa_row 256);
@@ -454,27 +481,9 @@ let run_suite ~smoke =
 
   (* The disabled sink's whole-window cost (guard loads plus the
      always-on histogram fill behind window_stats' p50/p90/p999) against
-     a telemetry-free window loop doing exactly the pre-telemetry work:
-     run_packet per packet, index-order sum, Float.compare sort. Must
+     a telemetry-free window loop over the same burst walk: bursts of 64
+     through Exec.run_batch_soa_at, index-order sum, window sort. Must
      stay within 2% (checked in [run]). *)
-  let telemetry_free_window ex latencies ~start ~packets ~source =
-    let drops = ref 0 in
-    for i = 0 to packets - 1 do
-      let pkt = source () in
-      latencies.(i) <-
-        Nicsim.Exec.run_packet ex
-          ~now:(start +. (1.0 *. float_of_int i /. float_of_int packets))
-          pkt;
-      if Nicsim.Packet.is_dropped pkt then incr drops
-    done;
-    let sum = ref 0. in
-    for i = 0 to packets - 1 do
-      sum := !sum +. Array.unsafe_get latencies i
-    done;
-    let avg = !sum /. float_of_int packets in
-    Array.sort Float.compare latencies;
-    (avg, latencies.(min (packets - 1) (packets * 99 / 100)), !drops)
-  in
   (* A 2% claim is below this suite's row-to-row drift (turbo, GC state),
      so the two sides alternate rep by rep and each takes its best — the
      same treatment [time_ns] gives its reps. *)
@@ -482,9 +491,14 @@ let run_suite ~smoke =
     (let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (window_program ()) in
      let src_b = window_source 23L in
      let latencies = Array.make packets 0. in
+     let block = Nicsim.Exec.soa_block ex in
+     let burst = Array.make block (Nicsim.Packet.create ()) in
+     let seqs = Array.make block 0 and nows = Array.make block 0. in
      let start = ref 0. in
      let before () =
-       let r = telemetry_free_window ex latencies ~start:!start ~packets ~source:src_b in
+       let r =
+         burst_window ex ~burst ~seqs ~nows latencies ~start:!start ~packets ~source:src_b
+       in
        start := !start +. 1.0;
        r
      in
@@ -841,8 +855,9 @@ let run ~smoke ~out =
   let benches = run_suite ~smoke in
   report ~smoke ~out benches;
   (* Guard the headline claims: the fast paths must beat their baselines,
-     else the artifact records a regression loudly. The parallel row is
-     exempt — domain-spawn overhead makes it a multicore-host-only win.
+     else the artifact records a regression loudly. The parallel optimizer
+     row is exempt — domain-spawn overhead makes it a multicore-host-only
+     win.
      The disabled-telemetry row has its own budget: instrumentation that
      nobody turned on may cost at most 2% of the window path. *)
   List.iter
@@ -879,10 +894,10 @@ let run ~smoke ~out =
         let floor_ = if smoke then 1.1 else 1.5 in
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.1fx soa floor (%.2fx)\n" b.name floor_ s
-      | Some s when String.starts_with ~prefix:"run_window/compiled-" b.name ->
+      | Some s when b.name = "run_window/compiled" ->
         (* The compiled data path's headline claim: >= 5x over the
-           interpretive driver at full scale; at smoke scale warmup and
-           fixed costs dilute the window, so the floor relaxes to 2x. *)
+           interpreter at full scale; at smoke scale warmup and fixed
+           costs dilute the window, so the floor relaxes to 2x. *)
         let floor_ = if smoke then 2.0 else 5.0 in
         if s < floor_ then
           Printf.printf "WARNING: %s below the %.0fx compiled floor (%.2fx)\n" b.name floor_ s

@@ -44,7 +44,7 @@ let params =
       domain = Ints [ 1024; 2048; 4096; 8192; 16384 ];
       default = Int 4096 };
     { key = "exec.soa_block";
-      doc = "L1 burst block size of the struct-of-arrays walk";
+      doc = "burst length of Sim.run_window and L1 block of the struct-of-arrays walk";
       scope = Host;
       domain = Ints [ 16; 32; 64; 128; 256 ];
       default = Int 64 };

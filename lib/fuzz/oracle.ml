@@ -27,19 +27,15 @@ let mk_exec ~telemetry target prog =
       (Telemetry.create ~trace_capacity:1024 ~trace_sample_every:7 ());
   ex
 
-type exec_driver = Interp | Batched | Parallel | Compiled | Soa
+type exec_driver = Interp | Compiled | Soa
 
 let driver_to_string = function
   | Interp -> "interp"
-  | Batched -> "batched"
-  | Parallel -> "parallel"
   | Compiled -> "compiled"
   | Soa -> "soa"
 
 let driver_of_string = function
   | "interp" -> Some Interp
-  | "batched" -> Some Batched
-  | "parallel" -> Some Parallel
   | "compiled" -> Some Compiled
   | "soa" -> Some Soa
   | _ -> None
@@ -64,27 +60,17 @@ let exec_obs ?(driver = Interp) ex flow : Refsim.obs =
     Nicsim.Exec.set_tracer ex hook;
     ignore (Nicsim.Exec.run_packet_compiled ex ~now:0. pkt);
     Nicsim.Exec.set_tracer ex None
-  | Batched ->
-    (* A burst of one: exercises the batch entry points end to end. *)
-    Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_batch ex ~now_of:(fun _ -> 0.) ~out:[| 0. |] [| pkt |]);
-    Nicsim.Exec.set_tracer ex None
   | Soa ->
-    (* The struct-of-arrays burst walk, as a burst of one: scatter into
-       columns, op-at-a-time walk, gather back. The fuzzer's random
-       programs also exercise the non-vectorizable fallback inside. *)
+    (* The struct-of-arrays burst walk that [Sim.run_window] runs, as a
+       burst of one: scatter into columns, op-at-a-time walk, gather
+       back. The fuzzer's random programs also exercise the
+       non-vectorizable fallback inside. *)
     Nicsim.Exec.set_tracer ex hook;
-    ignore (Nicsim.Exec.run_batch_soa ex ~now_of:(fun _ -> 0.) ~out:[| 0. |] [| pkt |]);
-    Nicsim.Exec.set_tracer ex None
-  | Parallel ->
-    (* The sharded window's per-packet shape: a replica executes with the
-       parent's next global sequence number, then merges back. *)
-    let r = Nicsim.Exec.replicate ex in
-    Nicsim.Exec.set_tracer r hook;
     ignore
-      (Nicsim.Exec.run_packet_at r ~seq:(Nicsim.Exec.packets_seen ex + 1) ~now:0. pkt);
-    Nicsim.Exec.set_tracer r None;
-    Nicsim.Exec.merge_replica ex r);
+      (Nicsim.Exec.run_batch_soa_at ex
+         ~seqs:[| Nicsim.Exec.packets_seen ex + 1 |]
+         ~nows:[| 0. |] ~pos:0 ~n:1 ~out:[| 0. |] [| pkt |]);
+    Nicsim.Exec.set_tracer ex None);
   { Refsim.fields = List.map (fun f -> (f, Nicsim.Packet.get pkt f)) Refsim.observed_fields;
     dropped = Nicsim.Packet.is_dropped pkt;
     egress = Nicsim.Packet.egress_port pkt;

@@ -13,8 +13,8 @@
     profile counters (the cells alias the same registry slots the
     interpreter's hash probes reach), identical telemetry counters,
     spans, and sampling, and identical flow-cache fill behaviour.
-    {!Exec} owns compiled instances, their staleness, and the batch
-    drivers ({!Exec.run_batch_compiled}); this module is engine-level
+    {!Exec} owns compiled instances, their staleness, and the burst
+    driver ({!Exec.run_batch_soa_at}); this module is engine-level
     machinery below it. *)
 
 type t
@@ -69,7 +69,7 @@ val soa_capable : t -> bool
 (** Whether {!run_burst} accepts this program: no cache-role tables
     (fills and LRU recency are packet-order-sensitive) and every
     interned field narrower than 62 bits (so int columns are exact).
-    {!Exec.run_batch_soa} falls back to the per-packet compiled loop
+    {!Exec.run_batch_soa_at} falls back to the per-packet compiled loop
     when false. *)
 
 val soa_layout : t -> P4ir.Field.t array

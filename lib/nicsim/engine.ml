@@ -1308,8 +1308,6 @@ let set_tuning t tun =
 
 let tuning t = t.tun
 
-let set_backend_hint t hint = set_tuning t { t.tun with hint }
-
 let backend_hint t =
   match t.backend with Shaped _ -> t.tun.hint | Exact_hash _ | Exact_lru _ | Linear _ -> Auto
 
@@ -1494,24 +1492,6 @@ let take_update_count t =
   let n = t.updates in
   t.updates <- 0;
   n
-
-let copy t =
-  let copy_group (g : group) = { g with tbl = Hashtbl.copy g.tbl } in
-  let backend =
-    match t.backend with
-    | Exact_hash ex -> Exact_hash { etbl = Hashtbl.copy ex.etbl; eidx = None; eview = None }
-    | Exact_lru lru -> Exact_lru (Lru.copy lru)
-    | Linear entries -> Linear (ref !entries)
-    | Shaped s ->
-      Shaped
-        { groups = Array.init s.ngroups (fun i -> copy_group s.groups.(i));
-          ngroups = s.ngroups;
-          lpm_ordered = s.lpm_ordered;
-          nentries = s.nentries;
-          plan = P_none;
-          plan_stale = true }
-  in
-  { t with backend; scratch = Array.copy t.scratch }
 
 let cache_fill t ~now e =
   match (t.table.role, t.backend) with

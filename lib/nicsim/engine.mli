@@ -134,11 +134,6 @@ val set_tuning : t -> tuning -> unit
 val tuning : t -> tuning
 (** Current tuning ({!default_tuning} unless overridden). *)
 
-val set_backend_hint : t -> backend_hint -> unit
-  [@@ocaml.deprecated "use set_tuning (hint field)"]
-(** Deprecated shim for one release: equivalent to
-    [set_tuning t { (tuning t) with hint }]. *)
-
 val backend_hint : t -> backend_hint
 (** Current hint; [Auto] for non-shaped backends. *)
 
@@ -189,11 +184,6 @@ val shape_groups : t -> int
 (** Number of live hash-table groups in a shaped (LPM/ternary) backend;
     0 for exact, cache and linear backends. Deleting the last entry of a
     group does not drop the group — the modeled hardware still probes it. *)
-
-val copy : t -> t
-(** Deep, independent copy: subsequent mutations (inserts, cache fills,
-    LRU recency updates) on either side do not affect the other. The
-    copy's update counter and token bucket match the original. *)
 
 val update_count : t -> int
 (** Control-plane updates since the last {!take_update_count}. *)

@@ -56,10 +56,8 @@ type t = {
      on the next use. *)
   mutable compiled : Compile.t option;
   mutable compiled_stale : bool;
-  (* Scratch for the struct-of-arrays burst driver: per-lane seq / now /
-     sampled inputs, grown on demand and reused across bursts. *)
-  mutable soa_seqs : int array;
-  mutable soa_nows : float array;
+  (* Scratch for the struct-of-arrays burst driver: per-lane sampling
+     decisions, grown on demand and reused across bursts. *)
   mutable soa_sampled : bool array;
   (* Host tunables (Pipeleon.Tune [Host] scope): the SoA burst block and
      the engine plan tuning applied to every engine this executor owns —
@@ -101,7 +99,7 @@ let create cfg prog =
     (P4ir.Program.tables prog);
   { cfg; prog; engines; node_engine; ctrs = Profile.Counter.create (); seen = 0; drops = 0;
     tracer = None; tel = Telemetry.null; tel_handles = None; compiled = None;
-    compiled_stale = true; soa_seqs = [||]; soa_nows = [||]; soa_sampled = [||];
+    compiled_stale = true; soa_sampled = [||];
     soa_blk = default_soa_block; eng_tun = Engine.default_tuning }
 
 let program t = t.prog
@@ -182,13 +180,17 @@ let try_complete_fill ~now fill =
     | None -> ()  (* behaviour combination not representable; skip *)
   end
 
-let entry_core_of t root =
-  match root with Some r -> t.cfg.placement r | None -> Costmodel.Cost.Asic
+let sampled_at t seq = t.cfg.instrumented && seq mod t.cfg.sample_rate = 0
 
-(* Core of the per-packet walk, with everything derivable once per burst
-   ([root], [entry_core]) and once per packet position ([sampled]) hoisted
-   out so batch and parallel drivers can amortize or pin them. *)
-let exec_packet t ~sampled ~seq ~now ~root ~entry_core pkt =
+(* The interpreter: the packet walks the program DAG node by node. *)
+let run_packet t ~now pkt =
+  t.seen <- t.seen + 1;
+  let seq = t.seen in
+  let sampled = sampled_at t seq in
+  let root = P4ir.Program.root t.prog in
+  let entry_core =
+    match root with Some r -> t.cfg.placement r | None -> Costmodel.Cost.Asic
+  in
   let target = t.cfg.target in
   let bump owner label latency =
     if sampled then begin
@@ -332,36 +334,6 @@ let exec_packet t ~sampled ~seq ~now ~root ~entry_core pkt =
   end;
   !latency
 
-let sampled_at t seq = t.cfg.instrumented && seq mod t.cfg.sample_rate = 0
-
-let run_packet t ~now pkt =
-  t.seen <- t.seen + 1;
-  let root = P4ir.Program.root t.prog in
-  exec_packet t ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now ~root
-    ~entry_core:(entry_core_of t root) pkt
-
-let run_packet_at t ~seq ~now pkt =
-  t.seen <- t.seen + 1;
-  let root = P4ir.Program.root t.prog in
-  exec_packet t ~sampled:(sampled_at t seq) ~seq ~now ~root ~entry_core:(entry_core_of t root)
-    pkt
-
-let run_batch t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then invalid_arg "Exec.run_batch: out too small";
-  let root = P4ir.Program.root t.prog in
-  let entry_core = entry_core_of t root in
-  let dropped = ref 0 in
-  for i = 0 to n - 1 do
-    t.seen <- t.seen + 1;
-    let pkt = Array.unsafe_get pkts i in
-    out.(pos + i) <-
-      exec_packet t ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now:(now_of i) ~root
-        ~entry_core pkt;
-    if Packet.is_dropped pkt then incr dropped
-  done;
-  !dropped
-
 (* --- compiled data path --- *)
 
 let ensure_compiled t =
@@ -398,41 +370,12 @@ let run_packet_compiled t ~now pkt =
   if Compile.drop_observed c then t.drops <- t.drops + 1;
   lat
 
-let run_packet_compiled_at t ~seq ~now pkt =
-  let c = ensure_compiled t in
-  t.seen <- t.seen + 1;
-  let lat = Compile.run c ~tracer:(compiled_tracer t) ~sampled:(sampled_at t seq) ~seq ~now pkt in
-  if Compile.drop_observed c then t.drops <- t.drops + 1;
-  lat
-
-let run_batch_compiled t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then
-    invalid_arg "Exec.run_batch_compiled: out too small";
-  let c = ensure_compiled t in
-  let tracer = compiled_tracer t in
-  let dropped = ref 0 in
-  for i = 0 to n - 1 do
-    t.seen <- t.seen + 1;
-    let pkt = Array.unsafe_get pkts i in
-    out.(pos + i) <-
-      Compile.run c ~tracer ~sampled:(sampled_at t t.seen) ~seq:t.seen ~now:(now_of i) pkt;
-    if Compile.drop_observed c then t.drops <- t.drops + 1;
-    if Packet.is_dropped pkt then incr dropped
-  done;
-  !dropped
-
 (* --- struct-of-arrays burst driver --- *)
 
 let soa_capable t = Compile.soa_capable (ensure_compiled t)
 
 let ensure_soa_scratch t n =
-  if Array.length t.soa_seqs < n then begin
-    let cap = max n 64 in
-    t.soa_seqs <- Array.make cap 0;
-    t.soa_nows <- Array.make cap 0.;
-    t.soa_sampled <- Array.make cap false
-  end
+  if Array.length t.soa_sampled < n then t.soa_sampled <- Array.make (max n 64) false
 
 (* L1-aware burst blocking. The op-major walk sweeps every per-lane
    column once per op, so its working set grows with the burst: at 256
@@ -446,9 +389,9 @@ let ensure_soa_scratch t n =
    read-only in a soa-capable program — a blocked run is bit-identical
    to one whole-burst walk. *)
 
-(* Lane inputs ([seqs], [nows]) supplied by the caller — the form the
-   simulator drivers use, with their own reused scratch. Advances [seen]
-   by [n] exactly as [n] per-packet calls would. *)
+(* Lane inputs ([seqs], [nows]) supplied by the caller — [Sim.run_window]
+   fills them in its own reused scratch. Advances [seen] by [n] exactly as
+   [n] per-packet calls would. *)
 let run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts =
   if pos < 0 || pos + n > Array.length out then
     invalid_arg "Exec.run_batch_soa_at: out too small";
@@ -496,63 +439,6 @@ let run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts =
     done;
     !dropped
   end
-
-let run_batch_soa t ?(pos = 0) ?n ~now_of ~out pkts =
-  let n = match n with Some n -> n | None -> Array.length pkts in
-  if pos < 0 || pos + n > Array.length out then
-    invalid_arg "Exec.run_batch_soa: out too small";
-  ignore (ensure_compiled t);
-  ensure_soa_scratch t n;
-  let seqs = t.soa_seqs and nows = t.soa_nows in
-  for i = 0 to n - 1 do
-    Array.unsafe_set seqs i (t.seen + i + 1);
-    Array.unsafe_set nows i (now_of i)
-  done;
-  run_batch_soa_at t ~seqs ~nows ~pos ~n ~out pkts
-
-let replicate t =
-  (* Distinct program nodes can share one engine by name; preserve that
-     aliasing in the copy so a fill through either node stays coherent. *)
-  let mapping : (Engine.t * Engine.t) list ref = ref [] in
-  let copy_of eng =
-    match List.find_opt (fun (orig, _) -> orig == eng) !mapping with
-    | Some (_, c) -> c
-    | None ->
-      let c = Engine.copy eng in
-      mapping := (eng, c) :: !mapping;
-      c
-  in
-  let engines = Hashtbl.create (Hashtbl.length t.engines) in
-  Hashtbl.iter (fun name eng -> Hashtbl.replace engines name (copy_of eng)) t.engines;
-  let node_engine = Hashtbl.create (Hashtbl.length t.node_engine) in
-  Hashtbl.iter (fun id eng -> Hashtbl.replace node_engine id (copy_of eng)) t.node_engine;
-  (* Each replica gets a forked sink (fresh registry, no trace ring) so
-     worker domains never touch the parent's metrics; merge_replica folds
-     the shard registries back losslessly. *)
-  let tel = Telemetry.fork t.tel in
-  { t with
-    engines;
-    node_engine;
-    ctrs = Profile.Counter.create ();
-    seen = 0;
-    drops = 0;
-    tracer = None;
-    tel;
-    tel_handles = build_tel_handles tel t.prog;
-    (* The replica has its own engines, counters, and sink; it compiles
-       its own pipeline on first compiled use. Scratch arrays are
-       mutable state and must not be shared across domains. *)
-    compiled = None;
-    compiled_stale = true;
-    soa_seqs = [||];
-    soa_nows = [||];
-    soa_sampled = [||] }
-
-let merge_replica t r =
-  Profile.Counter.merge_into ~dst:t.ctrs ~src:r.ctrs;
-  t.seen <- t.seen + r.seen;
-  t.drops <- t.drops + r.drops;
-  Telemetry.merge_into ~dst:t.tel ~src:r.tel
 
 let replace_program t prog =
   let changed = ref 0 in

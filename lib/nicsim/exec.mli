@@ -30,79 +30,14 @@ val engine : t -> string -> Engine.t option
 val engine_exn : t -> string -> Engine.t
 
 val run_packet : t -> now:float -> Packet.t -> float
-(** Process one packet; returns the latency in target latency-units
+(** Process one packet through the interpreter, which walks the program
+    DAG node by node; returns the latency in target latency-units
     (including the fixed per-packet overhead and any migrations). The
-    packet is mutated (header rewrites, drop flag, egress). *)
-
-val run_packet_at : t -> seq:int -> now:float -> Packet.t -> float
-(** Like {!run_packet} but the counter-sampling decision uses the given
-    global sequence number instead of this executor's own packet count.
-    Lets a sharded replica reproduce, bit for bit, the sampling pattern
-    the sequential executor would have applied at that position. The
-    replica's own [packets_seen] still advances by one. *)
-
-val run_batch :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** Process a burst interpretively: packets [0 .. n-1] of the array
-    (default all), with packet [i] timestamped [now_of i] and its
-    latency written to [out.(pos + i)] (default [pos = 0]). Per-burst
-    work (program root, entry-core placement) is hoisted out of the
-    per-packet path; each packet still walks the program DAG through the
-    interpreter, so results are bit-identical to [n] calls to
-    {!run_packet}. Packet [i] takes the executor's next global sequence
-    number ([packets_seen + 1] at its turn), which keys both counter
-    sampling ([instrumented && seq mod sample_rate = 0]) and telemetry
-    trace sampling — the batched, compiled
-    ({!run_batch_compiled}), and sharded ({!run_packet_at}) drivers all
-    sample exactly the packets the sequential loop would.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
-
-val run_batch_compiled :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** {!run_batch} over the compiled data path: the deployed program is
-    flattened once ({!Compile}) into a linear op array with resolved
-    successors, per-table action artifacts, pre-resolved counter cells
-    and telemetry handles; packets then execute by array walk instead of
-    DAG interpretation, allocation-free in steady state. Latencies,
-    profile counters, telemetry (hit/miss counters, packets/drops,
-    sampled spans), flow-cache fills, and tracer callbacks are all
-    bit-identical to {!run_batch} — same floats, same counts, same
-    sampling sequence. The pipeline is compiled lazily on first use and
-    recompiled (reusing unchanged tables' artifacts) after
-    {!replace_program}, {!set_telemetry}, or {!reset_counters}.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
-
-val run_batch_soa :
-  t ->
-  ?pos:int ->
-  ?n:int ->
-  now_of:(int -> float) ->
-  out:float array ->
-  Packet.t array ->
-  int
-(** {!run_batch_compiled} over the burst-vectorized walk
-    ({!Compile.run_burst}): the burst is scattered into a
-    struct-of-arrays {!Packet.Batch} and each fused op runs across every
-    live lane before the walk advances, with single-key exact tables
-    hashing the whole burst and touching their open-addressing slots
-    before probing. Bit-identical to {!run_batch_compiled} — same
-    latency floats, counters, telemetry, traces, sampling sequence.
-    Pipelines the walk cannot vectorize (cache-role tables, over-wide
-    fields — see {!Compile.soa_capable}) silently fall back to the
-    per-packet compiled loop.
-    @raise Invalid_argument if [out] cannot hold the burst. *)
+    packet is mutated (header rewrites, drop flag, egress). The packet
+    takes the executor's next sequence number ([packets_seen + 1]), which
+    keys both counter sampling ([instrumented && seq mod sample_rate = 0])
+    and telemetry trace sampling. This is the reference the compiled
+    walks are held bit-identical to. *)
 
 val run_batch_soa_at :
   t ->
@@ -113,15 +48,30 @@ val run_batch_soa_at :
   out:float array ->
   Packet.t array ->
   int
-(** {!run_batch_soa} with the per-lane sequence numbers and timestamps
-    supplied by the caller (lane [i] uses [seqs.(i)]/[nows.(i)]) — the
-    sharded drivers' form, mirroring {!run_packet_compiled_at}. This
-    executor's [packets_seen] still advances by [n]. All arguments are
-    required: the per-burst path cannot afford optional-argument
-    boxing. *)
+(** Process a burst through the compiled data path: the deployed program
+    is flattened once ({!Compile}) into a linear op array with resolved
+    successors, per-table action artifacts, pre-resolved counter cells
+    and telemetry handles. Packets [0 .. n-1] of the array run with lane
+    [i] taking sequence number [seqs.(i)] and timestamp [nows.(i)]; its
+    latency lands in [out.(pos + i)], and the return value counts the
+    burst's dropped packets. The burst is scattered into a
+    struct-of-arrays {!Packet.Batch} and each fused op runs across every
+    live lane, in blocks of {!soa_block} lanes ({!Compile.run_burst}).
+    Pipelines the walk cannot vectorize (cache-role tables, over-wide
+    fields — see {!Compile.soa_capable}) fall back to the per-packet
+    compiled walk. Either way latencies, profile counters, telemetry
+    (hit/miss counters, packets/drops, sampled spans), flow-cache fills
+    and tracer callbacks are bit-identical to {!run_packet} calls with
+    the same sequence numbers and timestamps. This executor's
+    [packets_seen] advances by [n]. The pipeline is compiled lazily on
+    first use and recompiled (reusing unchanged tables' artifacts) after
+    {!replace_program}, {!set_telemetry}, or {!reset_counters}. All
+    arguments are required: the per-burst path cannot afford
+    optional-argument boxing.
+    @raise Invalid_argument if [out] cannot hold the burst. *)
 
 val soa_capable : t -> bool
-(** Whether {!run_batch_soa} will actually take the vectorized path for
+(** Whether {!run_batch_soa_at} will actually take the vectorized path for
     the current program (compiling it first if needed). *)
 
 val default_soa_block : int
@@ -133,7 +83,8 @@ val soa_block : t -> int
     {!default_soa_block}). *)
 
 val set_soa_block : t -> int -> unit
-(** Set the SoA burst block size (registry key [exec.soa_block]). A
+(** Set the SoA burst block size (registry key [exec.soa_block]); it is
+    also the burst length {!Sim.run_window} pulls from its source. A
     host-side execution knob: blocking is invisible in the results, so
     any block size yields bit-identical outputs.
     @raise Invalid_argument when the block is < 1. *)
@@ -152,27 +103,11 @@ val run_packet_compiled : t -> now:float -> Packet.t -> float
 (** One packet through the compiled data path; bit-identical to
     {!run_packet}. *)
 
-val run_packet_compiled_at : t -> seq:int -> now:float -> Packet.t -> float
-(** Compiled counterpart of {!run_packet_at}: the sampling decision uses
-    the given global sequence number (sharded replicas). *)
-
 val precompile : t -> int * int
 (** Force compilation of the data path now (normally lazy on first
     compiled run) and return [(tables_reused, tables_rebuilt)] for the
     most recent compile — after an incremental {!replace_program},
     [tables_reused] counts the per-table artifacts carried over. *)
-
-val replicate : t -> t
-(** Deep copy for a worker domain: engines are independently copied
-    (aliasing between program nodes preserved), counters start empty,
-    packet/drop counts start at zero, the tracer is not carried over. The
-    program, target, and placement are shared (immutable). Merge results
-    back with {!merge_replica}. *)
-
-val merge_replica : t -> t -> unit
-(** [merge_replica t r] folds replica [r]'s counters and packet/drop
-    counts into [t]. Counter merging is commutative, so the merge order
-    of replicas does not affect any observable state. *)
 
 val packets_seen : t -> int
 val drops_seen : t -> int
@@ -198,10 +133,11 @@ val set_telemetry : t -> Telemetry.t -> unit
     [nicsim.merged.*]), total [nicsim.packets] / [nicsim.drops], and —
     when the sink carries a trace ring — records each sampled packet's
     walk through the node DAG as spans on the modeled time axis
-    (sampling is keyed on the global sequence number, so every window
-    driver samples identically). Instrumentation only observes: counters
-    and spans never change packet outcomes, engine state, or latencies.
-    Metric handles are resolved here, not per packet. *)
+    (sampling is keyed on the packet's sequence number, so the
+    interpreter and the compiled walks sample identically).
+    Instrumentation only observes: counters and spans never change
+    packet outcomes, engine state, or latencies. Metric handles are
+    resolved here, not per packet. *)
 
 val sync_entries_to_ir : t -> P4ir.Program.t
 (** The program with each table's [entries] replaced by the engine's

@@ -77,15 +77,3 @@ let clear t =
   t.tail <- None
 
 let iter f t = Hashtbl.iter (fun k node -> f k node.value) t.table
-
-let copy t =
-  (* Replay from least to most recent so the copy preserves recency. *)
-  let fresh = create ~capacity:t.cap in
-  let rec walk = function
-    | None -> ()
-    | Some node ->
-      ignore (put fresh node.key node.value);
-      walk node.prev
-  in
-  walk t.tail;
-  fresh

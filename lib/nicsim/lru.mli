@@ -23,5 +23,3 @@ val remove : 'a t -> string -> unit
 val clear : 'a t -> unit
 val iter : (string -> 'a -> unit) -> 'a t -> unit
 
-val copy : 'a t -> 'a t
-(** Independent copy with the same contents and recency order. *)

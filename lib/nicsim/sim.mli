@@ -32,9 +32,7 @@ val set_telemetry : t -> Telemetry.t -> unit
     distribution into histogram [nicsim.latency], bumps counter
     [nicsim.windows], and sets gauges [nicsim.window.throughput_gbps] /
     [.avg_latency] / [.drop_fraction] and per-table occupancy
-    [nicsim.table.<name>.entries]. Traces are only collected by the
-    sequential and batched window drivers — parallel shards run on
-    {!Telemetry.fork}ed sinks, which carry no trace ring. *)
+    [nicsim.table.<name>.entries]. *)
 
 type window_stats = {
   window_start : float;
@@ -44,8 +42,7 @@ type window_stats = {
   avg_latency : float;  (** mean per-packet latency in latency units *)
   p99_latency : float;  (** exact, from the sorted sample *)
   p50_latency : float;
-      (** histogram-derived (log-bucketed, at most 3.125% high); identical
-          across window drivers because the histogram fill is bucketwise *)
+      (** histogram-derived (log-bucketed, at most 3.125% high) *)
   p90_latency : float;
   p999_latency : float;
   throughput_gbps : float;  (** sustained, capped at line rate *)
@@ -55,81 +52,27 @@ type window_stats = {
 val run_window :
   t -> duration:float -> packets:int -> source:(unit -> Packet.t) -> window_stats
 (** Simulate [packets] sample packets spread uniformly over [duration]
-    emulated seconds (the clock advances between packets, so cache
-    token buckets and time series behave), then advance the clock to the
-    window end. *)
+    emulated seconds, then advance the clock to the window end. Packet
+    [i] is timestamped [now + duration * i / packets] (so cache token
+    buckets and time series behave) and takes the executor's next
+    sequence number, which keys counter and trace sampling.
 
-val run_window_batched :
-  ?batch:int ->
-  ?compiled:bool ->
-  ?soa:bool ->
-  t ->
-  duration:float ->
-  packets:int ->
-  source:(unit -> Packet.t) ->
-  window_stats
-(** {!run_window} processing packets in bursts of [batch] (default 64)
-    via {!Exec.run_batch}, amortizing per-packet dispatch. The source is
-    called in the same order, every packet gets the same timestamp, and
-    the resulting stats and counters are bit-identical to {!run_window}.
-    With [compiled] (default false) the bursts go through
-    {!Exec.run_batch_compiled} instead — same identity guarantee. With
-    [soa] (default false, implies the compiled path) each burst runs the
-    burst-vectorized struct-of-arrays walk, {!Exec.run_batch_soa_at} —
-    still bit-identical. *)
+    The window runs the compiled data path in bursts of
+    {!Exec.soa_block} packets through {!Exec.run_batch_soa_at}: the
+    burst-vectorized struct-of-arrays walk, or the per-packet compiled
+    walk for pipelines it cannot vectorize (see docs/PERF.md "Window
+    execution"). Stats, counters, telemetry and per-packet latencies are
+    bit-identical to calling {!Exec.run_packet} on each packet with the
+    same timestamp. The pipeline compiles on first use; {!reconfigure}
+    and {!hot_patch} keep it coherent. Burst buffers are per-sim scratch,
+    so a steady-state window loop allocates nothing per window.
 
-val run_window_compiled :
-  ?batch:int ->
-  ?soa:bool ->
-  t ->
-  duration:float ->
-  packets:int ->
-  source:(unit -> Packet.t) ->
-  window_stats
-(** {!run_window} over the compiled data path: bursts of [batch]
-    (default 64) execute via {!Exec.run_batch_compiled} — the program
-    flattened at deploy time into a linear op array ({!Compile}) —
-    reusing a persistent burst buffer, so a steady-state window loop
-    allocates nothing per window. Stats, counters, telemetry, and
-    per-packet latencies are bit-identical to {!run_window}. The
-    pipeline compiles lazily on first use; {!reconfigure} and
-    {!hot_patch} keep it coherent (rebuilt tables recompile, unchanged
-    tables keep their compiled artifacts). With [soa] (default false)
-    the bursts run the struct-of-arrays walk instead
-    ({!Exec.run_batch_soa_at}: one column per interned field, op-at-a-
-    time execution, exact-probe prefetch — see docs/PERF.md
-    "Burst-vectorized walk"), with lane inputs in per-sim scratch, so
-    the no-per-window-allocation property holds there too (asserted by
-    a [Gc.minor_words] test). Pipelines the walk cannot vectorize fall
-    back to the per-packet compiled loop inside the executor. *)
-
-val run_window_parallel :
-  ?domains:int ->
-  ?compiled:bool ->
-  ?soa:bool ->
-  t ->
-  duration:float ->
-  packets:int ->
-  source:(unit -> Packet.t) ->
-  window_stats
-(** {!run_window} sharded across [domains] OCaml domains (default
-    [Domain.recommended_domain_count ()]): packets are pulled from the
-    source up front in index order, assigned to domains by a deterministic
-    hash of the flow 5-tuple (RSS-style), executed on independent engine
-    replicas, and merged order-independently — stats and counters are
-    bit-identical to the sequential run. Packet staging and the shard
-    layout (a CSR index/offset pair) live in per-sim scratch reused
-    across windows. Programs with cache-role tables
-    (whose per-packet LRU mutation sharding cannot reproduce) and
-    degenerate shardings fall back to the sequential path. With
-    [compiled] (default false), each replica runs the compiled data path
-    (compiling its own op array over its replicated engines), and the
-    fallback path is {!run_window_compiled}. With [soa] (default false)
-    each replica additionally chunks its shard through the
-    struct-of-arrays burst walk ({!Exec.run_batch_soa_at}), and the
-    fallback path is [run_window_compiled ~soa:true] — both still
-    bit-identical.
-    @raise Invalid_argument if [domains <= 0] or [packets <= 0]. *)
+    Source contract: the window pulls up to {!Exec.soa_block} packets
+    from [source] before running any of them, so a source must not reuse
+    or mutate a packet it has already handed out within a burst.
+    [Traffic.Trace.replay] and the [Traffic.Workload] sources return a
+    fresh packet per call.
+    @raise Invalid_argument if [packets <= 0]. *)
 
 val insert : t -> table:string -> P4ir.Table.entry -> unit
 (** Control-plane entry insert (counts toward the table's update rate).

@@ -47,8 +47,8 @@ val names : t -> string list
 val merge_into : dst:t -> src:t -> unit
 (** Fold [src] into [dst]: counters add, histograms merge bucketwise,
     gauges adopt [src]'s value if it was ever set. Metrics missing from
-    [dst] are registered on the fly, so a freshly forked shard registry
-    merges into any parent. *)
+    [dst] are registered on the fly, so any registry merges into any
+    other. *)
 
 val merge_prefixed : prefix:string -> dst:t -> src:t -> unit
 (** {!merge_into} with [prefix] prepended to every name on the [dst]

@@ -30,14 +30,3 @@ let should_trace t ~seq =
 let tracing_active t = t.enabled && t.trace <> None
 
 let add_span t s = match t.trace with Some ring -> Trace.add ring s | None -> ()
-
-let fork t =
-  if not t.enabled then null
-  else
-    { enabled = true;
-      metrics = Metrics.create ();
-      trace = None;
-      trace_sample_every = t.trace_sample_every }
-
-let merge_into ~dst ~src =
-  if dst.enabled && src.enabled then Metrics.merge_into ~dst:dst.metrics ~src:src.metrics

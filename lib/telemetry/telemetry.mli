@@ -6,12 +6,7 @@
     and every instrumentation site guards on {!enabled} first, so an
     uninstrumented run pays one load-and-branch per guard — measured at
     under 2% on the nicsim window benchmarks ([bench/main.exe perf],
-    row [telemetry/disabled-overhead]).
-
-    For sharded execution (OCaml 5 domains), give each worker a
-    {!fork}ed sink and {!merge_into} the parent after joining: counters
-    and histogram buckets combine losslessly. Traces are only collected
-    on the sink that owns the ring buffer (forks do not trace). *)
+    row [telemetry/disabled-overhead]). *)
 
 module Histogram = Histogram
 module Metrics = Metrics
@@ -47,8 +42,8 @@ val trace_sample_every : t -> int
 val should_trace : t -> seq:int -> bool
 (** Whether the packet with global sequence number [seq] is sampled for
     tracing: enabled, tracing on, and [seq mod trace_sample_every = 0].
-    Keyed on the global sequence number so batched and sharded window
-    drivers sample the same packets as the sequential one. *)
+    Keyed on the sequence number so the interpreter and the compiled
+    walks sample the same packets. *)
 
 val tracing_active : t -> bool
 (** The seq-independent part of {!should_trace} (enabled and the span
@@ -58,11 +53,3 @@ val tracing_active : t -> bool
 
 val add_span : t -> Trace.span -> unit
 (** No-op when tracing is off. *)
-
-val fork : t -> t
-(** A domain-local shard of this sink: same enablement and sampling
-    cadence, a fresh registry, no trace ring. {!null} forks to {!null}. *)
-
-val merge_into : dst:t -> src:t -> unit
-(** Fold a fork's registry back ({!Metrics.merge_into}); a no-op when
-    either side is disabled. *)

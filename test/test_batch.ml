@@ -1,9 +1,10 @@
-(* Tests for the burst-vectorized compiled walk: the struct-of-arrays
-   Packet.Batch container (scatter/gather, live mask, truncation), the
-   op-at-a-time walk's divergence regrouping, bit-identity of the soa
-   driver against the compiled and interpreted paths (fixed pipelines,
-   random programs, telemetry), and the no-per-window-allocation
-   guarantee of the steady-state window loop. *)
+(* Tests for the burst-vectorized compiled walk that Sim.run_window
+   runs: the struct-of-arrays Packet.Batch container (scatter/gather,
+   live mask, truncation), the op-at-a-time walk's divergence
+   regrouping, bit-identity of the window against the reference
+   interpreter (fixed pipelines, random programs, telemetry, entry churn
+   through the controller), and the no-per-window-allocation guarantee
+   of the steady-state window loop. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -231,27 +232,25 @@ let window_obs ?(sample_rate = 3) ?source prog run =
     Nicsim.Exec.drops_seen ex,
     Profile.Counter.dump (Nicsim.Exec.counters ex) )
 
-(* The soa walk must vectorize these (no caches, narrow fields) and then
-   agree with both the interpreter and the per-packet compiled walk —
-   including the divergence fixtures, where lanes split at a cond or a
-   per-action successor and regroup at the join. *)
+(* The window must vectorize these (no caches, narrow fields) and then
+   agree with the interpreter — including the divergence fixtures, where
+   lanes split at a cond or a per-action successor and regroup at the
+   join — whatever the burst block size. *)
 let test_soa_window_identity () =
   List.iter
     (fun prog ->
       check_bool "program is vectorizable" true
         (Nicsim.Exec.soa_capable
            (Nicsim.Exec.create (Nicsim.Exec.default_config target) prog));
-      let interp = window_obs prog (fun sim -> Nicsim.Sim.run_window sim) in
-      let compiled = window_obs prog (fun sim -> Nicsim.Sim.run_window_compiled ~batch:7 sim) in
-      let soa =
-        window_obs prog (fun sim -> Nicsim.Sim.run_window_compiled ~batch:7 ~soa:true sim)
+      let interp = window_obs prog Ref_window.run in
+      let soa = window_obs prog Nicsim.Sim.run_window in
+      let soa_block_7 =
+        window_obs prog (fun sim ->
+            Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) 7;
+            Nicsim.Sim.run_window sim)
       in
-      let soa_batched =
-        window_obs prog (fun sim -> Nicsim.Sim.run_window_batched ~batch:5 ~soa:true sim)
-      in
-      check_bool "interp = compiled" true (interp = compiled);
-      check_bool "compiled = soa" true (compiled = soa);
-      check_bool "soa batch size free" true (soa = soa_batched))
+      check_bool "interp = soa" true (interp = soa);
+      check_bool "soa block size free" true (soa = soa_block_7))
     [ P4ir.Program.linear "lin" (chain 3);
       branching_prog ();
       per_action_prog () ]
@@ -261,20 +260,10 @@ let test_soa_window_identity () =
    per-packet walk. The LPM route also exercises the generic gather. *)
 let test_soa_drops_identity () =
   let prog = acl_route_prog () in
-  let interp =
-    window_obs ~source:(drop_source 5L) prog (fun sim -> Nicsim.Sim.run_window sim)
-  in
-  let soa =
-    window_obs ~source:(drop_source 5L) prog
-      (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim)
-  in
-  let par_soa =
-    window_obs ~source:(drop_source 5L) prog
-      (fun sim -> Nicsim.Sim.run_window_parallel ~domains:3 ~soa:true sim)
-  in
+  let interp = window_obs ~source:(drop_source 5L) prog Ref_window.run in
+  let soa = window_obs ~source:(drop_source 5L) prog Nicsim.Sim.run_window in
   check_bool "drops actually happen" true (match interp with _, d, _ -> d > 0);
-  check_bool "interp = soa (drops included)" true (interp = soa);
-  check_bool "interp = parallel soa" true (interp = par_soa)
+  check_bool "interp = soa (drops included)" true (interp = soa)
 
 (* Cache-role programs are not vectorizable; the soa driver must fall
    back to the per-packet compiled walk and still be bit-identical. *)
@@ -292,39 +281,45 @@ let test_soa_fallback_on_cache () =
   in
   check_bool "cache program not vectorizable" false
     (Nicsim.Exec.soa_capable (Nicsim.Exec.create (Nicsim.Exec.default_config target) prog));
-  let seq = window_obs ~sample_rate:2 prog (fun sim -> Nicsim.Sim.run_window sim) in
-  let soa =
-    window_obs ~sample_rate:2 prog (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim)
-  in
+  let seq = window_obs ~sample_rate:2 prog Ref_window.run in
+  let soa = window_obs ~sample_rate:2 prog Nicsim.Sim.run_window in
   check_bool "fallback bit-identical" true (seq = soa)
 
-(* Per-packet latencies out of the batch entry point, compared float for
-   float (not just window aggregates). *)
+(* Per-packet latencies out of the burst entry point, compared float for
+   float (not just window aggregates) against the interpreter. *)
 let batch_obs prog run_batch =
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
   let ex = Nicsim.Exec.create cfg prog in
   let source = zipf_source 21L in
   let n = 300 in
   let pkts = Array.init n (fun _ -> source ()) in
+  let nows = Array.init n (fun i -> 0.001 *. float_of_int i) in
   let out = Array.make n 0. in
-  let dropped = run_batch ex ~now_of:(fun i -> 0.001 *. float_of_int i) ~out pkts in
+  let dropped = run_batch ex ~nows ~out pkts in
   ( Array.map Int64.bits_of_float out,
     dropped,
     Nicsim.Exec.drops_seen ex,
     Profile.Counter.dump (Nicsim.Exec.counters ex) )
 
+let interp_batch ex ~nows ~out pkts =
+  let dropped = ref 0 in
+  Array.iteri
+    (fun i pkt ->
+      out.(i) <- Nicsim.Exec.run_packet ex ~now:nows.(i) pkt;
+      if Nicsim.Packet.is_dropped pkt then incr dropped)
+    pkts;
+  !dropped
+
+let soa_batch ex ~nows ~out pkts =
+  let n = Array.length pkts in
+  let seqs = Array.init n (fun i -> Nicsim.Exec.packets_seen ex + i + 1) in
+  Nicsim.Exec.run_batch_soa_at ex ~seqs ~nows ~pos:0 ~n ~out pkts
+
 let test_soa_batch_latencies () =
   List.iter
     (fun prog ->
-      let compiled =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_compiled ex ~now_of ~out pkts)
-      in
-      let soa =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_soa ex ~now_of ~out pkts)
-      in
-      check_bool "per-packet latency bits + drops + counters" true (compiled = soa))
+      check_bool "per-packet latency bits + drops + counters" true
+        (batch_obs prog interp_batch = batch_obs prog soa_batch))
     [ P4ir.Program.linear "lin" (chain 3); branching_prog (); acl_route_prog () ]
 
 (* Telemetry under the soa walk: buffered spans and tracer events must
@@ -336,8 +331,8 @@ let test_soa_telemetry_identity () =
     let stats = driver sim ~duration:1.0 ~packets:400 ~source:(drop_source 13L) in
     (tel, window_stats_bits stats)
   in
-  let tel_a, bits_a = obs (fun sim -> Nicsim.Sim.run_window_compiled sim) in
-  let tel_b, bits_b = obs (fun sim -> Nicsim.Sim.run_window_compiled ~soa:true sim) in
+  let tel_a, bits_a = obs Ref_window.run in
+  let tel_b, bits_b = obs Nicsim.Sim.run_window in
   check_bool "stats identical under sink" true (bits_a = bits_b);
   let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
   Alcotest.(check (list string)) "metric names" (Telemetry.Metrics.names ma)
@@ -352,10 +347,10 @@ let test_soa_telemetry_identity () =
   check_bool "spans nonempty" true (spans tel_a <> [])
 
 (* Random programs (exact/LPM/ternary/range tables, branching, switch,
-   drops): the soa driver — vectorized or fallen back — must match the
-   per-packet compiled walk on whole windows. *)
+   drops): the window — vectorized or fallen back — must match the
+   interpreter on whole windows, at an odd block size too. *)
 let test_soa_random_programs =
-  qtest ~count:40 "soa window = compiled window on random programs"
+  qtest ~count:40 "soa window = interpreter on random programs"
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let case = Fuzz.Gen.case ~n_packets:48 (Stdx.Prng.create (Int64.of_int seed)) in
@@ -367,18 +362,168 @@ let test_soa_random_programs =
           incr k;
           Nicsim.Packet.of_fields f
       in
-      let run soa =
+      let run window =
         let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
         let sim = Nicsim.Sim.create ~config:cfg target case.Fuzz.Gen.program in
-        let stats =
-          Nicsim.Sim.run_window_compiled ~batch:13 ~soa sim ~duration:1.0 ~packets:200
-            ~source:(mk_source ())
-        in
+        Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) 13;
+        let stats = window sim ~duration:1.0 ~packets:200 ~source:(mk_source ()) in
         ( window_stats_bits stats,
           Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim),
           Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)) )
       in
-      run false = run true)
+      run Ref_window.run = run Nicsim.Sim.run_window)
+
+(* --- entry churn: control-plane writes between windows --- *)
+
+(* An exact 4-tuple conntrack table (allow / deny) in front of an LPM
+   route table big enough that the engine auto-selects the learned-index
+   plan. Inserts and deletes through the controller invalidate the
+   exact-probe index and the learned plan between windows; the compiled
+   pipeline keeps its engine handles and must see every write. *)
+let route_prefix i =
+  (* Distinct by construction: the top 16 bits carry [i], the length
+     varies from /16 to /32. *)
+  let len = 16 + (i mod 17) in
+  let v = Int64.shift_left (Int64.of_int i) 16 in
+  let v = Int64.logor v (Int64.of_int ((i * 7919) land 0xFFFF)) in
+  let mask = Int64.shift_left (Int64.shift_right_logical 0xFFFFFFFFL (32 - len)) (32 - len) in
+  P4ir.Pattern.Lpm (Int64.logand v mask, len)
+
+let route_entry i = P4ir.Table.entry [ route_prefix i ] (if i mod 2 = 0 then "via_a" else "via_b")
+
+(* A destination inside one of the first [routes] prefixes. *)
+let route_dst rng ~routes =
+  match route_prefix (Stdx.Prng.int rng routes) with
+  | P4ir.Pattern.Lpm (v, len) -> Int64.logor v (Int64.of_int (Stdx.Prng.int rng (1 lsl (32 - len))))
+  | _ -> assert false
+
+let ct_fields = [ P4ir.Field.Ipv4_src; P4ir.Field.Ipv4_dst; P4ir.Field.Tcp_sport; P4ir.Field.Tcp_dport ]
+
+let ct_flow rng ~routes =
+  List.map
+    (fun f ->
+      (f, if f = P4ir.Field.Ipv4_dst then route_dst rng ~routes
+          else Int64.of_int (Stdx.Prng.int rng 4096)))
+    ct_fields
+
+let ct_entry flow action =
+  P4ir.Table.entry (List.map (fun (_, v) -> P4ir.Pattern.Exact v) flow) action
+
+let churn_prog ~flows ~routes =
+  let conntrack =
+    P4ir.Table.make ~name:"conntrack"
+      ~keys:(List.map (fun f -> P4ir.Table.key f P4ir.Match_kind.Exact) ct_fields)
+      ~actions:
+        [ P4ir.Action.make "allow" [ P4ir.Action.Set_field (P4ir.Field.Meta 1, 1L) ];
+          P4ir.Action.make "deny" [ P4ir.Action.Drop ];
+          P4ir.Action.nop "miss" ]
+      ~default_action:"miss"
+      ~entries:(List.mapi (fun i f -> ct_entry f (if i mod 5 = 0 then "deny" else "allow")) flows)
+      ()
+  in
+  let route =
+    P4ir.Table.make ~name:"route"
+      ~keys:[ P4ir.Table.key P4ir.Field.Ipv4_dst P4ir.Match_kind.Lpm ]
+      ~actions:
+        [ P4ir.Action.make "via_a" [ P4ir.Action.Set_field (P4ir.Field.Meta 2, 1L) ];
+          P4ir.Action.make "via_b" [ P4ir.Action.Set_field (P4ir.Field.Meta 2, 2L) ];
+          P4ir.Action.nop "def" ]
+      ~default_action:"def"
+      ~entries:(List.init routes route_entry)
+      ()
+  in
+  P4ir.Program.linear "churn" [ conntrack; route ]
+
+(* Half the packets replay a conntrack flow (installed, not yet
+   installed, or deleted); the rest are fresh flows, most of them into a
+   route prefix. *)
+let churn_source rng flows ~routes =
+  fun () ->
+    let flow =
+      if Stdx.Prng.bool rng 0.5 then flows.(Stdx.Prng.int rng (Array.length flows))
+      else if Stdx.Prng.bool rng 0.8 then ct_flow rng ~routes
+      else List.map (fun f -> (f, Int64.of_int (Stdx.Prng.int rng 0x7FFFFFFF))) ct_fields
+    in
+    Nicsim.Packet.of_fields flow
+
+let test_soa_entry_churn () =
+  let routes = 5000 in
+  let flow_rng = Stdx.Prng.create 31L in
+  let flows = Array.init 96 (fun _ -> ct_flow flow_rng ~routes) in
+  let init_flows = Array.to_list (Array.sub flows 0 64) in
+  let prog = churn_prog ~flows:init_flows ~routes in
+  let side window =
+    let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
+    (* Every packet traced: each "packet" span carries its latency, so
+       the span lists compare per-packet latencies bit for bit. *)
+    let tel = Telemetry.create ~trace_capacity:16384 ~trace_sample_every:1 () in
+    let sim = Nicsim.Sim.create ~config:cfg ~telemetry:tel target prog in
+    let ctl = Runtime.Controller.create sim ~original:prog in
+    (* Traffic also targets the routes later rounds insert. *)
+    (window, sim, ctl, tel, churn_source (Stdx.Prng.create 77L) flows ~routes:(routes + 24))
+  in
+  let sides = [ side Ref_window.run; side Nicsim.Sim.run_window ] in
+  let obs (_, sim, _, tel, _) stats =
+    let ex = Nicsim.Sim.exec sim in
+    let m = Telemetry.metrics tel in
+    ( window_stats_bits stats,
+      Nicsim.Exec.packets_seen ex,
+      Nicsim.Exec.drops_seen ex,
+      Profile.Counter.dump (Nicsim.Exec.counters ex),
+      List.map (fun n -> (n, Telemetry.Metrics.find_counter m n)) (Telemetry.Metrics.names m),
+      Telemetry.Trace.spans (Option.get (Telemetry.trace tel)) )
+  in
+  let next_route = ref routes and next_flow = ref 64 in
+  let churn_rng = Stdx.Prng.create 5L in
+  for round = 1 to 6 do
+    let results =
+      List.map
+        (fun ((window, sim, _, _, source) as s) ->
+          obs s (window sim ~duration:1.0 ~packets:300 ~source))
+        sides
+    in
+    (match results with
+     | [ reference; tested ] ->
+       check_bool (Printf.sprintf "round %d: window = reference" round) true
+         (reference = tested)
+     | _ -> assert false);
+    let _, sim, _, _, _ = List.nth sides 1 in
+    let ex = Nicsim.Sim.exec sim in
+    check_bool "learned plan selected" true
+      (Nicsim.Engine.plan_kind (Nicsim.Exec.engine_exn ex "route") = "learned");
+    check_bool "pipeline vectorized" true (Nicsim.Exec.soa_capable ex);
+    (* The same writes on both sides. Odd rounds only insert new routes
+       and flows, even rounds only delete existing ones, so the next
+       window runs on indexes and plans that exactly one kind of write
+       invalidated. *)
+    let ops =
+      if round mod 2 = 1 then begin
+        let routes_in = List.init 8 (fun k -> route_entry (!next_route + k)) in
+        let flows_in =
+          List.init 4 (fun k ->
+              ct_entry flows.(!next_flow + k) (if k = 0 then "deny" else "allow"))
+        in
+        next_route := !next_route + 8;
+        next_flow := !next_flow + 4;
+        List.map (fun e -> (`Insert, "route", e)) routes_in
+        @ List.map (fun e -> (`Insert, "conntrack", e)) flows_in
+      end
+      else
+        List.init 4 (fun _ ->
+            (`Delete, "route", route_entry (Stdx.Prng.int churn_rng !next_route)))
+        @ List.init 2 (fun _ ->
+              (`Delete, "conntrack", ct_entry flows.(Stdx.Prng.int churn_rng !next_flow) "allow"))
+    in
+    List.iter
+      (fun (_, _, ctl, _, _) ->
+        List.iter
+          (fun (op, table, e) ->
+            match op with
+            | `Insert -> Runtime.Controller.insert ctl ~table e
+            | `Delete -> Runtime.Controller.delete ctl ~table e)
+          ops)
+      sides
+  done
 
 (* --- allocation: the steady-state soa window loop must not churn --- *)
 
@@ -414,7 +559,7 @@ let test_soa_window_allocation_free () =
     p
   in
   let window () =
-    ignore (Nicsim.Sim.run_window_compiled ~soa:true sim ~duration:1.0 ~packets:8192 ~source)
+    ignore (Nicsim.Sim.run_window sim ~duration:1.0 ~packets:8192 ~source)
   in
   (* Warm up: scratch buffers, the compiled pipeline, the batch state and
      the exact-index views all get built here. *)
@@ -440,11 +585,12 @@ let () =
           Alcotest.test_case "columnar truncation" `Quick test_columnar_truncation ] );
       ( "identity",
         [ Alcotest.test_case "windows (divergence fixtures)" `Quick test_soa_window_identity;
-          Alcotest.test_case "mid-burst drops + parallel" `Quick test_soa_drops_identity;
+          Alcotest.test_case "mid-burst drops" `Quick test_soa_drops_identity;
           Alcotest.test_case "cache fallback" `Quick test_soa_fallback_on_cache;
           Alcotest.test_case "batch latencies" `Quick test_soa_batch_latencies;
           Alcotest.test_case "telemetry order" `Quick test_soa_telemetry_identity;
-          test_soa_random_programs ] );
+          test_soa_random_programs;
+          Alcotest.test_case "compiled walk under entry churn" `Quick test_soa_entry_churn ] );
       ( "allocation",
         [ Alcotest.test_case "steady-state window allocates nothing" `Quick
             test_soa_window_allocation_free ] ) ]

@@ -246,24 +246,18 @@ let test_compiled_window_identical =
   qtest ~count:20 "compiled windows = sequential (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window in
-      let compiled =
+      let seq = driver_fixture seed packets Ref_window.run in
+      let compiled = driver_fixture seed packets Nicsim.Sim.run_window in
+      let compiled_block_5 =
         driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_compiled ~batch:5 sim)
+            Nicsim.Exec.set_soa_block (Nicsim.Sim.exec sim) 5;
+            Nicsim.Sim.run_window sim)
       in
-      let batched_compiled =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_batched ~batch:7 ~compiled:true sim)
-      in
-      let par_compiled =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_parallel ~domains:3 ~compiled:true sim)
-      in
-      seq = compiled && seq = batched_compiled && seq = par_compiled)
+      seq = compiled && seq = compiled_block_5)
 
 (* Cache-role tables: LRU recency, auto-insert fills, and the token
    bucket all mutate per packet; the compiled walk must reproduce every
-   bit of it (these programs are also the parallel driver's fallback). *)
+   bit of it (these programs take the window's per-packet fallback). *)
 let cache_fixture seed run =
   let prog = cached_prog () in
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 2 } in
@@ -282,10 +276,8 @@ let test_compiled_cache_identical =
   qtest ~count:15 "compiled = sequential on flow-cached program (fills included)"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      let ((_, _, filled) as seq) = cache_fixture seed Nicsim.Sim.run_window in
-      let compiled =
-        cache_fixture seed (fun sim -> Nicsim.Sim.run_window_compiled ~batch:9 sim)
-      in
+      let ((_, _, filled) as seq) = cache_fixture seed Ref_window.run in
+      let compiled = cache_fixture seed Nicsim.Sim.run_window in
       (* The fixture must actually exercise the fill path. *)
       filled > 0 && seq = compiled)
 
@@ -297,8 +289,8 @@ let test_compiled_merged_identical () =
   in
   List.iter
     (fun prog ->
-      let seq = run prog (fun sim -> Nicsim.Sim.run_window sim) in
-      let compiled = run prog (fun sim -> Nicsim.Sim.run_window_compiled sim) in
+      let seq = run prog Ref_window.run in
+      let compiled = run prog Nicsim.Sim.run_window in
       check_bool "merged/branching/switch program identical" true (seq = compiled))
     [ merged_prog ();
       (let p, _, _, _, _ = branching_prog () in p);
@@ -323,60 +315,30 @@ let test_compiled_optimizer_output_identical () =
     (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
   in
   check_bool "optimized program identical under compiled driver" true
-    (run (fun sim -> Nicsim.Sim.run_window sim)
-    = run (fun sim -> Nicsim.Sim.run_window_compiled sim))
+    (run Ref_window.run = run Nicsim.Sim.run_window)
 
 (* --- batch-level identity: per-packet latencies --- *)
 
-let batch_obs prog run_batch =
+let batch_obs prog run_packet =
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
   let ex = Nicsim.Exec.create cfg prog in
   let source = zipf_source 21L in
-  let n = 300 in
-  let pkts = Array.init n (fun _ -> source ()) in
-  let out = Array.make n 0. in
-  let dropped = run_batch ex ~now_of:(fun i -> 0.001 *. float_of_int i) ~out pkts in
-  ( Array.map Int64.bits_of_float out,
-    dropped,
-    Nicsim.Exec.drops_seen ex,
-    Profile.Counter.dump (Nicsim.Exec.counters ex) )
+  let dropped = ref 0 in
+  let lat =
+    Array.init 300 (fun i ->
+        let pkt = source () in
+        let l = run_packet ex ~now:(0.001 *. float_of_int i) pkt in
+        if Nicsim.Packet.is_dropped pkt then incr dropped;
+        Int64.bits_of_float l)
+  in
+  (lat, !dropped, Nicsim.Exec.drops_seen ex, Profile.Counter.dump (Nicsim.Exec.counters ex))
 
 let test_batch_latencies_bit_identical () =
   List.iter
     (fun prog ->
-      let interp =
-        batch_obs prog (fun ex ~now_of ~out pkts -> Nicsim.Exec.run_batch ex ~now_of ~out pkts)
-      in
-      let compiled =
-        batch_obs prog (fun ex ~now_of ~out pkts ->
-            Nicsim.Exec.run_batch_compiled ex ~now_of ~out pkts)
-      in
-      check_bool "per-packet latency bits + drops + counters" true (interp = compiled))
+      check_bool "per-packet latency bits + drops + counters" true
+        (batch_obs prog Nicsim.Exec.run_packet = batch_obs prog Nicsim.Exec.run_packet_compiled))
     [ P4ir.Program.linear "lin" (chain 3); cached_prog (); merged_prog () ]
-
-(* --- replicas --- *)
-
-let test_replica_compiled_identical () =
-  let prog = P4ir.Program.linear "rep" (chain 3) in
-  let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) prog in
-  (* Warm the parent so replicas inherit nonzero packets_seen. *)
-  let warm = zipf_source 4L in
-  for _ = 1 to 50 do
-    ignore (Nicsim.Exec.run_packet ex ~now:0. (warm ()))
-  done;
-  let r_interp = Nicsim.Exec.replicate ex in
-  let r_comp = Nicsim.Exec.replicate ex in
-  let src_a = zipf_source 5L and src_b = zipf_source 5L in
-  let ok = ref true in
-  for i = 1 to 200 do
-    let a = Nicsim.Exec.run_packet_at r_interp ~seq:(50 + i) ~now:0.01 (src_a ()) in
-    let b = Nicsim.Exec.run_packet_compiled_at r_comp ~seq:(50 + i) ~now:0.01 (src_b ()) in
-    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then ok := false
-  done;
-  check_bool "replica latencies bit-identical" true !ok;
-  check_bool "replica counters identical" true
-    (Profile.Counter.dump (Nicsim.Exec.counters r_interp)
-    = Profile.Counter.dump (Nicsim.Exec.counters r_comp))
 
 (* --- telemetry identity --- *)
 
@@ -391,8 +353,8 @@ let telemetry_obs driver =
   (tel, window_stats_bits stats)
 
 let test_compiled_telemetry_identical () =
-  let tel_a, bits_a = telemetry_obs (fun sim -> Nicsim.Sim.run_window sim) in
-  let tel_b, bits_b = telemetry_obs (fun sim -> Nicsim.Sim.run_window_compiled sim) in
+  let tel_a, bits_a = telemetry_obs Ref_window.run in
+  let tel_b, bits_b = telemetry_obs Nicsim.Sim.run_window in
   check_bool "stats identical under sink" true (bits_a = bits_b);
   let ma = Telemetry.metrics tel_a and mb = Telemetry.metrics tel_b in
   Alcotest.(check (list string)) "metric names" (M.names ma) (M.names mb);
@@ -419,7 +381,7 @@ let test_compiled_telemetry_identical () =
 let test_incremental_recompile_reuses_artifacts () =
   let sim = Nicsim.Sim.create target (P4ir.Program.linear "inc" (chain 4)) in
   ignore
-    (Nicsim.Sim.run_window_compiled sim ~duration:1.0 ~packets:100 ~source:(zipf_source 2L));
+    (Nicsim.Sim.run_window sim ~duration:1.0 ~packets:100 ~source:(zipf_source 2L));
   (* Reshape t2 only (extra action): hot_patch rebuilds one engine, and
      the eager recompile must rebuild exactly that table's artifact. *)
   let tabs' =
@@ -448,8 +410,7 @@ let test_compiled_across_hot_patch_identical =
   qtest ~count:10 "window / hot_patch / window: compiled = sequential"
     QCheck2.Gen.(map Int64.of_int int)
     (fun seed ->
-      deploy_fixture seed (fun sim -> Nicsim.Sim.run_window sim)
-      = deploy_fixture seed (fun sim -> Nicsim.Sim.run_window_compiled sim))
+      deploy_fixture seed Ref_window.run = deploy_fixture seed Nicsim.Sim.run_window)
 
 let test_reset_counters_recompiles () =
   let ex = Nicsim.Exec.create (Nicsim.Exec.default_config target) (cached_prog ()) in
@@ -475,7 +436,6 @@ let () =
           Alcotest.test_case "merged/branching/switch" `Quick test_compiled_merged_identical;
           Alcotest.test_case "optimizer output" `Quick test_compiled_optimizer_output_identical;
           Alcotest.test_case "batch latencies" `Quick test_batch_latencies_bit_identical;
-          Alcotest.test_case "replicas" `Quick test_replica_compiled_identical;
           Alcotest.test_case "telemetry" `Quick test_compiled_telemetry_identical ] );
       ( "deploys",
         [ Alcotest.test_case "incremental recompile reuse" `Quick

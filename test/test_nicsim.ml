@@ -715,19 +715,6 @@ let test_tree_degeneracy_guard () =
     plan_agrees_with_linear eng (Int64.logand (Stdx.Prng.mix64 (Int64.of_int i)) 0xFFFFFFFFL)
   done
 
-let test_engine_copy_independent () =
-  let eng = Nicsim.Engine.create (empty_lpm_table ()) in
-  Nicsim.Engine.insert eng (lpm_entry ~len:8 0x0A000000L);
-  let snap = Nicsim.Engine.copy eng in
-  Nicsim.Engine.insert eng (lpm_entry ~len:24 0x0A0B0C00L);
-  check_int "copy unaffected by later insert" 1 (Nicsim.Engine.num_entries snap);
-  check_int "original grew" 2 (Nicsim.Engine.num_entries eng);
-  (match fst (Nicsim.Engine.lookup snap (pkt_dst 0x0A0B0C0DL)) with
-   | Some e -> check_bool "copy still matches /8" true (e.P4ir.Table.patterns = [ P4ir.Pattern.Lpm (0x0A000000L, 8) ])
-   | None -> Alcotest.fail "copy lost its entry");
-  ignore (Nicsim.Engine.delete snap ~patterns:[ P4ir.Pattern.Lpm (0x0A000000L, 8) ]);
-  check_int "original unaffected by copy delete" 2 (Nicsim.Engine.num_entries eng)
-
 let test_prng_fork_deterministic () =
   let a = Stdx.Prng.create 42L in
   let b = Stdx.Prng.create 42L in
@@ -747,7 +734,7 @@ let test_prng_fork_deterministic () =
        (Stdx.Prng.next64 (Stdx.Prng.fork c 0))
        (Stdx.Prng.next64 (Stdx.Prng.fork c 1)))
 
-(* --- window drivers: batched and parallel bit-identity --- *)
+(* --- window: burst execution = interpreter reference --- *)
 
 let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats) =
   let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
@@ -760,8 +747,8 @@ let stats_bits_equal (a : Nicsim.Sim.window_stats) (b : Nicsim.Sim.window_stats)
   && f a.throughput_gbps b.throughput_gbps
   && f a.drop_fraction b.drop_fraction
 
-(* Exact + LPM + ternary pipeline (no caches, so the parallel driver
-   actually shards) with a drop entry some packets hit. *)
+(* Exact + LPM + ternary pipeline (no caches, so the window takes the
+   vectorized walk) with a drop entry some packets hit. *)
 let driver_program () =
   let acl = acl_with_drop ~name:"acl" 9L in
   let lpm =
@@ -808,54 +795,24 @@ let driver_sim () =
   let cfg = { (Nicsim.Exec.default_config target) with Nicsim.Exec.sample_rate = 3 } in
   Nicsim.Sim.create ~config:cfg target (driver_program ())
 
-let check_driver_identical name run_alt =
+let test_window_batched_identical () =
+  (* 1000 packets in bursts of 64 leave a ragged final burst. *)
   let sim_a = driver_sim () in
   let stats_a =
-    Nicsim.Sim.run_window sim_a ~duration:1.0 ~packets:1000 ~source:(driver_source 5L)
+    Ref_window.run sim_a ~duration:1.0 ~packets:1000 ~source:(driver_source 5L)
   in
   let sim_b = driver_sim () in
-  let stats_b = run_alt sim_b (driver_source 5L) in
-  check_bool (name ^ ": stats bit-identical") true (stats_bits_equal stats_a stats_b);
-  check_bool (name ^ ": counters identical") true
+  let stats_b =
+    Nicsim.Sim.run_window sim_b ~duration:1.0 ~packets:1000 ~source:(driver_source 5L)
+  in
+  check_bool "stats bit-identical" true (stats_bits_equal stats_a stats_b);
+  check_bool "counters identical" true
     (Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim_a))
     = Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim_b)));
-  check_int (name ^ ": packets seen") (Nicsim.Exec.packets_seen (Nicsim.Sim.exec sim_a))
+  check_int "packets seen" (Nicsim.Exec.packets_seen (Nicsim.Sim.exec sim_a))
     (Nicsim.Exec.packets_seen (Nicsim.Sim.exec sim_b));
-  check_int (name ^ ": drops seen") (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_a))
+  check_int "drops seen" (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_a))
     (Nicsim.Exec.drops_seen (Nicsim.Sim.exec sim_b))
-
-let test_window_batched_identical () =
-  (* batch 7 exercises a ragged final burst. *)
-  check_driver_identical "batched" (fun sim source ->
-      Nicsim.Sim.run_window_batched ~batch:7 sim ~duration:1.0 ~packets:1000 ~source)
-
-let test_window_parallel_identical () =
-  check_driver_identical "parallel-3" (fun sim source ->
-      Nicsim.Sim.run_window_parallel ~domains:3 sim ~duration:1.0 ~packets:1000 ~source);
-  check_driver_identical "parallel-default" (fun sim source ->
-      Nicsim.Sim.run_window_parallel sim ~duration:1.0 ~packets:1000 ~source)
-
-let test_window_parallel_cache_fallback () =
-  (* Programs with cache tables take the sequential fallback — and still
-     match run_window exactly, LRU state included. *)
-  let prog = P4ir.Program.linear "cp" [ cache_table ~capacity:16 () ] in
-  let target = Costmodel.Target.bluefield2 in
-  let mk () = Nicsim.Sim.create target prog in
-  let src seed =
-    let rng = Stdx.Prng.create seed in
-    fun () ->
-      Nicsim.Packet.of_fields [ (P4ir.Field.Ipv4_dst, Int64.of_int (Stdx.Prng.int rng 64)) ]
-  in
-  let sim_a = mk () in
-  let stats_a = Nicsim.Sim.run_window sim_a ~duration:1.0 ~packets:400 ~source:(src 3L) in
-  let sim_b = mk () in
-  let stats_b =
-    Nicsim.Sim.run_window_parallel ~domains:4 sim_b ~duration:1.0 ~packets:400 ~source:(src 3L)
-  in
-  check_bool "fallback stats identical" true (stats_bits_equal stats_a stats_b);
-  check_int "fallback cache contents identical"
-    (Nicsim.Engine.num_entries (Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim_a) "cache"))
-    (Nicsim.Engine.num_entries (Nicsim.Exec.engine_exn (Nicsim.Sim.exec sim_b) "cache"))
 
 let () =
   Alcotest.run "nicsim"
@@ -900,11 +857,6 @@ let () =
           Alcotest.test_case "plan staleness on mutation" `Quick test_plan_staleness;
           Alcotest.test_case "learned remainder store" `Quick test_learned_remainder_store;
           Alcotest.test_case "tree degeneracy guard" `Quick test_tree_degeneracy_guard;
-          Alcotest.test_case "engine copy independent" `Quick test_engine_copy_independent;
           Alcotest.test_case "prng fork deterministic" `Quick test_prng_fork_deterministic;
           Alcotest.test_case "batched window bit-identical" `Quick
-            test_window_batched_identical;
-          Alcotest.test_case "parallel window bit-identical" `Quick
-            test_window_parallel_identical;
-          Alcotest.test_case "parallel cache fallback" `Quick
-            test_window_parallel_cache_fallback ] ) ]
+            test_window_batched_identical ] ) ]

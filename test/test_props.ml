@@ -265,19 +265,11 @@ let driver_fixture seed packets run =
   (window_stats_bits stats, Profile.Counter.dump (Nicsim.Exec.counters (Nicsim.Sim.exec sim)))
 
 let test_window_drivers_identical =
-  qtest ~count:20 "batched/parallel windows = sequential (bits + counters)"
+  qtest ~count:20 "burst window = interpreter (bits + counters)"
     QCheck2.Gen.(pair (map Int64.of_int int) (int_range 16 400))
     (fun (seed, packets) ->
-      let seq = driver_fixture seed packets Nicsim.Sim.run_window in
-      let batched =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_batched ~batch:5 sim)
-      in
-      let par =
-        driver_fixture seed packets (fun sim ->
-            Nicsim.Sim.run_window_parallel ~domains:3 sim)
-      in
-      seq = batched && seq = par)
+      driver_fixture seed packets Ref_window.run
+      = driver_fixture seed packets Nicsim.Sim.run_window)
 
 let synth_gen =
   let open QCheck2.Gen in

@@ -206,10 +206,8 @@ let test_null_sink () =
   check_bool "disabled" false (Telemetry.enabled Telemetry.null);
   check_bool "no ring" true (Telemetry.trace Telemetry.null = None);
   check_bool "never samples" false (Telemetry.should_trace Telemetry.null ~seq:0);
-  check_bool "fork stays disabled" false (Telemetry.enabled (Telemetry.fork Telemetry.null));
-  (* add_span and merge_into must be harmless no-ops. *)
-  Telemetry.add_span Telemetry.null (span 0);
-  Telemetry.merge_into ~dst:Telemetry.null ~src:(Telemetry.create ())
+  (* add_span must be a harmless no-op. *)
+  Telemetry.add_span Telemetry.null (span 0)
 
 let test_should_trace_cadence () =
   let tel = Telemetry.create ~trace_capacity:16 ~trace_sample_every:5 () in
@@ -220,19 +218,6 @@ let test_should_trace_cadence () =
   (* Metrics-only sinks never sample. *)
   check_bool "no ring, no sampling" false
     (Telemetry.should_trace (Telemetry.create ()) ~seq:0)
-
-let test_fork_merge () =
-  let parent = Telemetry.create ~trace_capacity:16 () in
-  M.inc ~by:2 (M.counter (Telemetry.metrics parent) "n");
-  let shard = Telemetry.fork parent in
-  check_bool "fork enabled" true (Telemetry.enabled shard);
-  check_bool "fork carries no ring" true (Telemetry.trace shard = None);
-  check_bool "fork registry is fresh" true
-    (M.find_counter (Telemetry.metrics shard) "n" = None);
-  M.inc ~by:3 (M.counter (Telemetry.metrics shard) "n");
-  Telemetry.merge_into ~dst:parent ~src:shard;
-  check_bool "merge folds the shard back" true
-    (M.find_counter (Telemetry.metrics parent) "n" = Some 5)
 
 (* --- nicsim integration --- *)
 
@@ -287,25 +272,21 @@ let metrics_equal name ma mb =
     (M.names ma)
 
 let test_sim_metrics_driver_independent () =
-  (* Sequential, batched, and sharded windows must land the exact same
-     counters and histogram buckets: batching only changes dispatch, and
-     parallel shards record into forked registries merged losslessly. *)
+  (* The burst window must land the exact same counters, gauges and
+     histogram buckets as the interpreter reference: bursts only change
+     dispatch. *)
   let seq = run_with_sink (fun sim source ->
+      Ref_window.run sim ~duration:1.0 ~packets:600 ~source)
+  in
+  let burst = run_with_sink (fun sim source ->
       Nicsim.Sim.run_window sim ~duration:1.0 ~packets:600 ~source)
-  in
-  let batched = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window_batched ~batch:7 sim ~duration:1.0 ~packets:600 ~source)
-  in
-  let parallel = run_with_sink (fun sim source ->
-      Nicsim.Sim.run_window_parallel ~domains:3 sim ~duration:1.0 ~packets:600 ~source)
   in
   check_bool "packets counted" true (M.find_counter seq "nicsim.packets" = Some 600);
   check_bool "latency histogram filled" true
     (match M.find_histogram seq "nicsim.latency" with
     | Some h -> H.count h = 600
     | None -> false);
-  metrics_equal "batched" seq batched;
-  metrics_equal "parallel" seq parallel
+  metrics_equal "burst" seq burst
 
 let stats_bits (s : Nicsim.Sim.window_stats) =
   List.map Int64.bits_of_float
@@ -361,8 +342,7 @@ let () =
           Alcotest.test_case "chrome json" `Quick test_trace_chrome_json ] );
       ( "sink",
         [ Alcotest.test_case "null" `Quick test_null_sink;
-          Alcotest.test_case "sampling cadence" `Quick test_should_trace_cadence;
-          Alcotest.test_case "fork and merge" `Quick test_fork_merge ] );
+          Alcotest.test_case "sampling cadence" `Quick test_should_trace_cadence ] );
       ( "nicsim",
         [ Alcotest.test_case "driver-independent metrics" `Quick
             test_sim_metrics_driver_independent;
